@@ -302,7 +302,7 @@ class SimulatedCluster:
         The batch is split between the exact and fluid sub-fleets in
         proportion to machine counts (a binomial draw from a dedicated
         CRN stream); the exact share runs full per-request lifecycles
-        and is returned as ``(service, arrival_ns, process)`` sink
+        and is returned as ``(request, process)`` sink
         entries, the fluid share enters the tier as mass spread evenly
         over the fluid machines.
         """
@@ -324,7 +324,7 @@ class SimulatedCluster:
         entries = []
         for _ in range(n_exact):
             request = self.make_request(spec)
-            entries.append((spec.name, request.arrival_ns, self.submit(request)))
+            entries.append((request, self.submit(request)))
         n_fluid = count - n_exact
         if n_fluid > 0:
             self.total_arrivals += n_fluid

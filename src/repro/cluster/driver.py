@@ -2,8 +2,10 @@
 
 Mirrors :mod:`repro.server.driver` one level up: open-loop arrival
 processes (Poisson or MMPP, via :func:`repro.workloads.make_arrivals`)
-feed the cluster's front door, every request's lifecycle process lands
-in a sink, and the run ends at full completion or at a horizon. The
+feed the cluster's front door through the server driver's
+:func:`~repro.server.driver.open_loop`, every request's lifecycle
+process lands in a sink, and the run ends at full completion or
+``drain_ns`` past the last arrival. The
 fold produces a :class:`ClusterResult` with per-service
 :class:`~repro.server.metrics.ServiceResult` objects plus the
 fleet-level counters (shed / degraded / rerouted / lost, machine and
@@ -20,9 +22,9 @@ from ..faults import FaultConfig
 from ..hw.accelerator import QueuePolicy
 from ..hw.params import MachineParams
 from ..obs import ObsConfig
+from ..server.driver import open_loop, watch_completion
 from ..server.metrics import ServiceResult
 from ..sim import LatencyRecorder
-from ..workloads.arrivals import make_arrivals
 from ..workloads.calibration import (
     BranchProbabilities,
     OrchestrationCosts,
@@ -73,7 +75,8 @@ class ClusterConfig:
     #: gets ``generations[i % len]``); empty = homogeneous fleet.
     generations: Tuple[str, ...] = ()
     warmup_fraction: float = 0.1
-    #: Run at most this much simulated time past the last arrival.
+    #: Run at most this much simulated time past the last arrival: the
+    #: drain starts when every source is done, as in the server driver.
     drain_ns: float = 200e6
     #: Reroute attempts after machine failures before giving up.
     max_reroutes: int = 2
@@ -154,11 +157,6 @@ class ClusterResult:
         """Exact completions plus analytically completed fluid mass."""
         return self.completed + self.fluid_completed_mass()
 
-    def merged_throughput_rps(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.merged_completed() / (self.elapsed_ns * 1e-9)
-
     def merged_mean_ns(self) -> float:
         """Mean latency over exact samples and fluid estimates, weighted
         by how much work each tier completed."""
@@ -189,12 +187,6 @@ class ClusterResult:
         )
         return exact + fluid
 
-    def mean_outstanding(self) -> float:
-        """Time-averaged jobs in the system over the run's own window."""
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.jobs_integral_ns() / self.elapsed_ns
-
     def mean_p99_ns(self) -> float:
         """Unweighted mean of per-service P99s (the paper's averages)."""
         values = [s.p99_ns() for s in self.services.values() if len(s.recorder)]
@@ -205,33 +197,10 @@ class ClusterResult:
     def total_censored(self) -> int:
         return sum(s.censored for s in self.services.values())
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.arrivals if self.arrivals else 0.0
-
     def achieved_rps(self) -> float:
         if self.elapsed_ns <= 0:
             return 0.0
         return self.completed / (self.elapsed_ns * 1e-9)
-
-
-def _source(cluster: SimulatedCluster, spec: ServiceSpec,
-            config: ClusterConfig, sink: List):
-    """Process: open-loop arrivals for one service at the front door."""
-    rate = config.rate_rps if config.rate_rps is not None else spec.rate_rps
-    rate *= config.rate_scale
-    arrivals = make_arrivals(
-        config.arrival_mode,
-        rate,
-        cluster.streams.stream(f"arrivals/{spec.name}"),
-        burst_factor=config.mmpp_burst_factor,
-        burst_share=config.mmpp_burst_share,
-        mean_dwell_ns=config.mmpp_dwell_ns,
-    )
-    for _ in range(config.requests_per_service):
-        yield cluster.env.timeout(arrivals.next_gap_ns())
-        request = cluster.make_request(spec)
-        sink.append((spec.name, request.arrival_ns, cluster.submit(request)))
 
 
 def _batched_source(cluster: SimulatedCluster, spec: ServiceSpec,
@@ -257,51 +226,56 @@ def _batched_source(cluster: SimulatedCluster, spec: ServiceSpec,
             remaining -= count
 
 
+def _fluid_settle(cluster: SimulatedCluster, quantum_ns: float):
+    """The watcher's ``settle`` for the fluid tier: after the exact
+    requests, wait for the analytical queues to drain (mass decays
+    exponentially, so "drained" means below a negligible threshold) and
+    for materialized requests to finish."""
+    fluid = cluster.fluid
+
+    def settle(done):
+        yield done
+        while True:
+            pending = [
+                proc for _, proc in fluid.materialized_sink if not proc.triggered
+            ]
+            if fluid.total_mass() <= 0.05 and not pending:
+                return
+            yield cluster.env.timeout(quantum_ns)
+
+    return settle
+
+
 def run_cluster(
     services: List[ServiceSpec], config: ClusterConfig
 ) -> ClusterResult:
     """Run one cluster measurement; see the module docstring."""
     cluster = SimulatedCluster(config)
     env = cluster.env
-    sink: List = []
-    batched = config.fluid is not None and config.fluid.batched
-    source_fn = _batched_source if batched else _source
-    sources = [
-        env.process(source_fn(cluster, spec, config, sink), name=f"src-{spec.name}")
-        for spec in services
-    ]
-    # Horizon: expected arrival span of the slowest source + drain.
-    span = max(
-        config.requests_per_service
-        / ((config.rate_rps or spec.rate_rps) * config.rate_scale)
-        for spec in services
-    )
-    horizon_ns = span * _SECOND_NS + config.drain_ns
-    if cluster.fluid is not None:
-        cluster.fluid.start(services, horizon_ns)
-
-    def _watch_completion(env):
-        for source in sources:
-            yield source
-        yield env.all_of([proc for _, _, proc in sink])
-        fluid = cluster.fluid
-        if fluid is not None:
-            # Wait for the analytical queues to drain (mass decays
-            # exponentially, so "drained" means below a negligible
-            # threshold) and for materialized requests to finish; the
-            # horizon still bounds an unstable fluid queue.
-            while True:
-                pending = [
-                    proc
-                    for _, _, proc in fluid.materialized_sink
-                    if not proc.triggered
-                ]
-                if fluid.total_mass() <= 0.05 and not pending:
-                    break
-                yield env.timeout(config.fluid.quantum_ns)
-
-    watcher = env.process(_watch_completion(env))
-    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
+    fluid = cluster.fluid
+    settle = None if fluid is None else _fluid_settle(cluster, config.fluid.quantum_ns)
+    if config.fluid is not None and config.fluid.batched:
+        sink: List = []
+        sources = [
+            env.process(
+                _batched_source(cluster, spec, config, sink),
+                name=f"src-{spec.name}",
+            )
+            for spec in services
+        ]
+        stop = watch_completion(env, sources, sink, config.drain_ns, settle)
+    else:
+        shape = {
+            "burst_factor": config.mmpp_burst_factor,
+            "burst_share": config.mmpp_burst_share,
+            "mean_dwell_ns": config.mmpp_dwell_ns,
+        }
+        stop, sink = open_loop(cluster, services, config, shape, settle=settle)
+    # Started after the sources, so a quantum's stepping follows the
+    # arrivals batched at the same instant.
+    if fluid is not None:
+        fluid.start(services)
+    env.run(until=stop)
     return fold_cluster_result(cluster, services, config, sink)
 
 
@@ -313,8 +287,9 @@ def fold_cluster_result(
 ) -> ClusterResult:
     """Fold a driven cluster and its lifecycle sink into a result.
 
-    The sink holds ``(service, arrival_ns, process)`` triples, one per
-    front-door submission. This is the shared back half of
+    The sink holds ``(request, process)`` pairs, one per front-door
+    submission (the in-flight list of
+    :func:`~repro.server.driver.open_loop`). This is the shared back half of
     :func:`run_cluster`, split out so incremental drivers — the live
     serving façade (:mod:`repro.serve`) paces the same cluster against
     wall-clock time — can produce the identical :class:`ClusterResult`
@@ -330,11 +305,11 @@ def fold_cluster_result(
     materialized = (
         cluster.fluid.materialized_sink if cluster.fluid is not None else []
     )
-    for name, arrival_ns, proc in list(sink) + list(materialized):
-        result = results[name]
+    for front_door, proc in list(sink) + list(materialized):
+        result = results[front_door.spec.name]
         if not proc.triggered:
-            # Still in flight at the horizon.
-            result.record_censored(env.now - arrival_ns)
+            # Still in flight when the run stopped.
+            result.record_censored(env.now - front_door.arrival_ns)
             continue
         status, request = proc.value
         if status in (RequestStatus.SHED, RequestStatus.FLUID):

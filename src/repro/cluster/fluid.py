@@ -148,24 +148,23 @@ class FluidTier:
         self.materialized_mass = 0.0
         self.tier_flips = 0
         self.lost_mass = 0.0
-        #: ``(service name, arrival_ns, lifecycle process)`` triples of
-        #: materialized requests, folded by the driver like the sink.
-        self.materialized_sink: List[Tuple[str, float, object]] = []
+        #: ``(request, lifecycle process)`` pairs of materialized
+        #: requests, folded by the driver like the sink.
+        self.materialized_sink: List[Tuple[Request, object]] = []
         self._fraction_integral_ns = 0.0
         self._fraction_elapsed_ns = 0.0
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def start(self, services: List[ServiceSpec], until_ns: float) -> None:
-        """Begin stepping; called by the driver once the horizon is known."""
+    def start(self, services: List[ServiceSpec]) -> None:
+        """Begin stepping; the stepper runs until the driver stops the run."""
         self._specs = {spec.name: spec for spec in services}
         for name in self._specs:
             self._calibration.setdefault(name, [])
         self.stepper = FluidStepper(
             self.cluster.env,
             quantum_ns=self.config.quantum_ns,
-            until_ns=until_ns,
             on_step=self._on_step,
         )
         self._last_eval_ns = self.cluster.env.now
@@ -212,9 +211,6 @@ class FluidTier:
     # ------------------------------------------------------------------
     # Tier state
     # ------------------------------------------------------------------
-    def tier_of(self, machine) -> str:
-        return self._tiers.get(machine.index, EXACT)
-
     def is_fluid(self, machine) -> bool:
         return self._tiers.get(machine.index, EXACT) == FLUID
 
@@ -298,9 +294,7 @@ class FluidTier:
             for _ in range(count):
                 request = self._make_request(self._specs[service])
                 proc = self.cluster.submit_internal(request)
-                self.materialized_sink.append(
-                    (service, request.arrival_ns, proc)
-                )
+                self.materialized_sink.append((request, proc))
             created += count
         self.materialized += created
         machine.fluid_mass = 0.0

@@ -34,10 +34,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..faults import FaultConfig
-from ..server.machine import SimulatedServer
+from ..server.driver import RunConfig, make_server, open_loop
 from ..sim import LatencyRecorder, derive_seed
 from ..workloads import social_network_services
-from ..workloads.arrivals import make_arrivals
 from .common import MAIN_ARCHITECTURES, format_table, pick_service, requests_for
 from .parallel import Shard, ShardedExperiment
 
@@ -92,28 +91,18 @@ SCENARIO_ORDER = ["clean", "transient", "wear", "mgr-outage"]
 
 def _measure(architecture, spec, faults, seed, n_requests):
     """One open-loop run; returns the live request list and the server."""
-    server = SimulatedServer(architecture, seed=seed, faults=faults)
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
+    config = RunConfig(
+        architecture,
+        requests_per_service=n_requests,
+        seed=seed,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
+        drain_ns=DRAIN_NS,
+        faults=faults,
     )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(n_requests):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env), name="chaos-src")
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    watcher = env.process(watch(env), name="chaos-watch")
-    horizon_ns = n_requests / RATE_RPS * 1e9 + DRAIN_NS
-    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
+    server = make_server(config)
+    stop, in_flight = open_loop(server, [spec], config)
+    server.env.run(until=stop)
     return in_flight, server
 
 

@@ -33,9 +33,9 @@ from typing import Dict, List, Optional
 
 from ..obs import ObsConfig
 from ..obs.slo import SLOMonitorConfig, SLOTarget
+from ..server.driver import RunConfig, make_server, open_loop
 from ..server.machine import SimulatedServer
 from ..sim import LatencyRecorder
-from ..workloads.arrivals import make_arrivals
 from .config import FaultConfig
 
 __all__ = [
@@ -147,28 +147,19 @@ def _measure(
     obs: Optional[ObsConfig] = None,
 ):
     """One open-loop run; returns (in_flight, server)."""
-    server = SimulatedServer(architecture, seed=seed, faults=faults, obs=obs)
-    env = server.env
-    arrivals = make_arrivals(
-        "poisson", RATE_RPS, server.streams.stream(f"arrivals/{spec.name}")
+    config = RunConfig(
+        architecture,
+        requests_per_service=n_requests,
+        seed=seed,
+        arrival_mode="poisson",
+        rate_rps=RATE_RPS,
+        drain_ns=DRAIN_NS,
+        obs=obs,
+        faults=faults,
     )
-    in_flight: List = []
-
-    def source(env):
-        for _ in range(n_requests):
-            yield env.timeout(arrivals.next_gap_ns())
-            request = server.make_request(spec)
-            in_flight.append((request, server.submit(request)))
-
-    src = env.process(source(env), name="campaign-src")
-
-    def watch(env):
-        yield src
-        yield env.all_of([process for _, process in in_flight])
-
-    watcher = env.process(watch(env), name="campaign-watch")
-    horizon_ns = n_requests / RATE_RPS * 1e9 + DRAIN_NS
-    env.run(until=env.any_of([watcher, env.timeout(horizon_ns)]))
+    server = make_server(config)
+    stop, in_flight = open_loop(server, [spec], config)
+    server.env.run(until=stop)
     return in_flight, server
 
 

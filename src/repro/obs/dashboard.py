@@ -265,10 +265,9 @@ def run_demo_server(
     """
     # Imported lazily: the experiments package pulls in the entire
     # harness, which this module must not load at import time.
-    from ..experiments.fig_faults import SCENARIOS, SLO_MULTIPLIER
-    from ..server.machine import SimulatedServer
+    from ..experiments.fig_faults import DRAIN_NS, SCENARIOS, SLO_MULTIPLIER
+    from ..server.driver import RunConfig, make_server, open_loop
     from ..workloads import social_network_services
-    from ..workloads.arrivals import make_arrivals
     from .config import ObsConfig
     from .slo import SLOMonitorConfig, SLOTarget
 
@@ -280,30 +279,19 @@ def run_demo_server(
     spec = next(s for s in social_network_services() if s.name == service)
 
     def _measure(faults, obs, n):
-        server = SimulatedServer(
-            architecture, seed=seed, faults=faults, obs=obs
+        config = RunConfig(
+            architecture,
+            requests_per_service=n,
+            seed=seed,
+            arrival_mode="poisson",
+            rate_rps=rate_rps,
+            drain_ns=DRAIN_NS,
+            obs=obs,
+            faults=faults,
         )
-        arrivals = make_arrivals(
-            "poisson", rate_rps, server.streams.stream(f"arrivals/{spec.name}")
-        )
-        in_flight = []
-
-        def source(env):
-            for _ in range(n):
-                yield env.timeout(arrivals.next_gap_ns())
-                request = server.make_request(spec)
-                in_flight.append((request, server.submit(request)))
-
-        env = server.env
-        src = env.process(source(env), name="dash-src")
-
-        def watch(env):
-            yield src
-            yield env.all_of([process for _, process in in_flight])
-
-        watcher = env.process(watch(env), name="dash-watch")
-        horizon = env.timeout(n / rate_rps * 1e9 + 100e6)
-        return server, env.any_of([watcher, horizon]), in_flight
+        server = make_server(config)
+        stop, in_flight = open_loop(server, [spec], config)
+        return server, stop, in_flight
 
     # Fault-free calibration run pins the latency SLO, exactly like the
     # chaos experiment does (SLO = multiplier x clean mean latency).

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster import ClusterConfig, SimulatedCluster, fold_cluster_result
 from ..cluster.cluster import RequestStatus
 from ..obs.telemetry import AdmissionEvent, RequestEnd, TelemetryEvent
+from ..workloads.request import Request
 from ..workloads.spec import ServiceSpec
 from .clock import SimClock
 
@@ -81,7 +82,7 @@ class ServiceFacade:
         self.specs: Dict[str, ServiceSpec] = {s.name: s for s in services}
         #: ``(service, arrival_ns, process)`` per submission — the same
         #: shape run_cluster folds, so :meth:`fold` can reuse it.
-        self.sink: List[Tuple[str, float, object]] = []
+        self.sink: List[Tuple[Request, object]] = []
         self.submitted = 0
         self.responses: List[Response] = []
         #: rid -> (future, service, arrival_ns) for in-flight requests.
@@ -154,7 +155,7 @@ class ServiceFacade:
         future = asyncio.get_running_loop().create_future()
         self._waiters[request.rid] = (future, service, request.arrival_ns)
         proc = self.cluster.submit(request)
-        self.sink.append((service, request.arrival_ns, proc))
+        self.sink.append((request, proc))
         self.submitted += 1
         # Fallback terminal: a fluid-tier absorption ends the lifecycle
         # without a per-request RequestEnd on the bus.

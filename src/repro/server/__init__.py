@@ -3,7 +3,9 @@
 from .driver import (
     RunConfig,
     combine_dedicated,
+    make_server,
     max_throughput_search,
+    open_loop,
     run_dedicated_service,
     run_experiment,
     run_unloaded,
@@ -22,7 +24,9 @@ __all__ = [
     "SimulatedServer",
     "combine_dedicated",
     "energy_summary",
+    "make_server",
     "max_throughput_search",
+    "open_loop",
     "run_dedicated_service",
     "run_experiment",
     "saturation_throughput",

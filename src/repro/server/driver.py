@@ -2,7 +2,11 @@
 
 The driver builds a :class:`SimulatedServer`, plays an arrival process
 per service, and collects per-service latency distributions plus
-hardware statistics. Two deployment modes match the paper's setups:
+hardware statistics. :func:`open_loop` is the one open-loop driver:
+every measured run, here, in the chaos experiments and in the cluster,
+starts its sources and its completion watcher through it, and ends by
+the same drain rule (:func:`watch_completion`). Two deployment modes
+match the paper's setups:
 
 * dedicated — each service measured on its own server instance
   (Figures 11-14, 18-20); results are merged across services.
@@ -17,12 +21,13 @@ the highest per-service load whose P99 stays within the SLO (Fig 14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..faults import FaultConfig
 from ..hw.accelerator import QueuePolicy
 from ..hw.params import MachineParams
 from ..obs import ObsConfig
+from ..sim import Process
 from ..workloads.arrivals import make_arrivals
 from ..workloads.calibration import (
     BranchProbabilities,
@@ -36,15 +41,15 @@ from .metrics import ExperimentResult, ServiceResult
 
 __all__ = [
     "RunConfig",
+    "make_server",
+    "open_loop",
+    "watch_completion",
     "run_experiment",
     "run_dedicated_service",
     "combine_dedicated",
     "run_unloaded",
     "max_throughput_search",
 ]
-
-_SECOND_NS = 1e9
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,7 +68,8 @@ class RunConfig:
     #: True: all services share one server. False: one server each.
     colocated: bool = False
     warmup_fraction: float = 0.1
-    #: Run at most this much simulated time past the last arrival.
+    #: Run at most this much simulated time past the last arrival: the
+    #: drain starts when every source is done (see ``watch_completion``).
     drain_ns: float = 200e6
     #: Multiplies mean unloaded latency to set the per-request soft
     #: deadline when the EDF queue policy is active.
@@ -85,7 +91,8 @@ class RunConfig:
     faults: Optional[FaultConfig] = None
 
 
-def _make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
+def make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
+    """The server a run of ``config`` measures (seed + ``seed_offset``)."""
     return SimulatedServer(
         config.architecture,
         machine_params=config.machine_params,
@@ -100,26 +107,99 @@ def _make_server(config: RunConfig, seed_offset: int = 0) -> SimulatedServer:
     )
 
 
-def _arrivals_for(server: SimulatedServer, spec: ServiceSpec, config: RunConfig):
+def _arrivals_for(target, spec: ServiceSpec, config, shape):
     rate = config.rate_rps if config.rate_rps is not None else spec.rate_rps
     rate *= config.rate_scale
-    stream = server.streams.stream(f"arrivals/{spec.name}")
-    return make_arrivals(config.arrival_mode, rate, stream)
+    stream = target.streams.stream(f"arrivals/{spec.name}")
+    return make_arrivals(config.arrival_mode, rate, stream, **shape)
 
 
-def _source(server: SimulatedServer, spec: ServiceSpec, config: RunConfig, sink):
-    """Process: generate open-loop arrivals for one service."""
-    arrivals = _arrivals_for(server, spec, config)
-    for _ in range(config.requests_per_service):
-        yield server.env.timeout(arrivals.next_gap_ns())
-        request = server.make_request(spec)
-        if server.params and config.queue_policy == QueuePolicy.EDF:
-            reference = config.unloaded_reference_ns.get(spec.name)
-            if reference:
-                request.slo_deadline_ns = (
-                    server.env.now + config.slo_multiplier * reference
-                )
-        sink.append((request, server.submit(request)))
+def _edf_budgets(config: RunConfig) -> Dict[str, float]:
+    """Soft-deadline budget per service, under EDF queueing only."""
+    if config.queue_policy != QueuePolicy.EDF:
+        return {}
+    return {
+        name: config.slo_multiplier * reference
+        for name, reference in config.unloaded_reference_ns.items()
+        if reference
+    }
+
+
+def open_loop(
+    target,
+    services: List[ServiceSpec],
+    config,
+    shape: Optional[Dict[str, float]] = None,
+    budgets_ns: Optional[Dict[str, float]] = None,
+    settle=None,
+) -> Tuple[Process, List]:
+    """Start one open-loop run on ``target``; return ``(stop, in_flight)``.
+
+    ``target`` is anything with ``env``, ``streams``, ``make_request``
+    and ``submit``: a :class:`SimulatedServer` or a cluster. Each
+    service gets one ``src-<service>`` source playing
+    ``config.requests_per_service`` arrivals of ``config.arrival_mode``
+    at its rate (``shape`` is the burst shape of the ``mmpp`` mode) and
+    appending ``(request, process)`` to ``in_flight``. A service in
+    ``budgets_ns`` stamps each request with the soft deadline arrival +
+    budget (EDF queueing). ``stop`` is :func:`watch_completion`'s
+    watcher: step the environment to it, and whatever is unfinished
+    then is censored.
+    """
+    env = target.env
+    budgets_ns = budgets_ns or {}
+    in_flight: List = []
+    sources = [
+        env.process(
+            _source(
+                target,
+                spec,
+                _arrivals_for(target, spec, config, shape or {}),
+                config.requests_per_service,
+                budgets_ns.get(spec.name),
+                in_flight,
+            ),
+            name=f"src-{spec.name}",
+        )
+        for spec in services
+    ]
+    return watch_completion(env, sources, in_flight, config.drain_ns, settle), in_flight
+
+
+def _source(target, spec: ServiceSpec, arrivals, requests: int,
+            budget_ns: Optional[float], in_flight: List):
+    """Process: open-loop arrivals for one service."""
+    env = target.env
+    for _ in range(requests):
+        yield env.timeout(arrivals.next_gap_ns())
+        request = target.make_request(spec)
+        if budget_ns is not None:
+            request.slo_deadline_ns = env.now + budget_ns
+        in_flight.append((request, target.submit(request)))
+
+
+def watch_completion(env, sources: List[Process], in_flight: List,
+                     drain_ns: float, settle=None) -> Process:
+    """Start the watcher that ends an open-loop run (the drain rule).
+
+    It waits for every source to finish, then until every submitted
+    request completes or ``drain_ns`` passes, whichever comes first: the
+    drain starts at the last arrival, and a source is never cut short.
+    ``in_flight`` holds the sources' ``(request, process)`` pairs.
+    ``settle``, given the all-completed event, is a generator function
+    run as one more process that the run also waits for, within the
+    same drain.
+    """
+    return env.process(_watch_completion(env, sources, in_flight, drain_ns, settle))
+
+
+def _watch_completion(env, sources, in_flight, drain_ns, settle):
+    for source in sources:
+        yield source
+    done = env.all_of([proc for _, proc in in_flight])
+    if settle is not None:
+        done = env.process(settle(done))
+    yield env.any_of([done, env.timeout(drain_ns)])
 
 
 def _run_on_server(
@@ -139,32 +219,10 @@ def _run_on_server(
                 },
             )
         )
-    in_flight: List = []
-    sources = [
-        server.env.process(
-            _source(server, spec, config, in_flight), name=f"src-{spec.name}"
-        )
-        for spec in services
-    ]
-    # Horizon: expected arrival span of the slowest source + drain.
-    span = max(
-        config.requests_per_service
-        / ((config.rate_rps or spec.rate_rps) * config.rate_scale)
-        for spec in services
+    stop, in_flight = open_loop(
+        server, services, config, budgets_ns=_edf_budgets(config)
     )
-    horizon_ns = span * _SECOND_NS + config.drain_ns
-
-    def _watch_completion(env):
-        for source in sources:
-            yield source
-        yield env.all_of([proc for _, proc in in_flight])
-
-    watcher = server.env.process(_watch_completion(server.env))
-    # Stop at full completion or at the horizon, whichever comes first,
-    # so idle drain time never dilutes utilization statistics.
-    server.env.run(
-        until=server.env.any_of([watcher, server.env.timeout(horizon_ns)])
-    )
+    server.env.run(until=stop)
 
     if server.bus is not None:
         from ..obs.telemetry import Marker
@@ -199,7 +257,7 @@ def run_dedicated_service(
     ship it across process boundaries; :func:`combine_dedicated` folds
     any number of such cells back into an :class:`ExperimentResult`.
     """
-    server = _make_server(config, seed_offset=seed_offset)
+    server = make_server(config, seed_offset=seed_offset)
     per_service = _run_on_server(server, [spec], config)
     return {
         "service": per_service[spec.name],
@@ -243,35 +301,25 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one measurement; merges per-service servers unless colocated."""
     if config.colocated:
-        server = _make_server(config)
-        per_service = _run_on_server(server, services, config)
-        return _finish(server, per_service, config, services)
+        server = make_server(config)
+        return ExperimentResult(
+            architecture=config.architecture,
+            services=_run_on_server(server, services, config),
+            elapsed_ns=server.env.now,
+            hardware_stats=server.hardware.stats(),
+            orchestrator_stats=server.orchestrator.stats(),
+            utilizations=server.hardware.accelerator_utilizations(),
+            offered_rps={
+                spec.name: (config.rate_rps or spec.rate_rps) * config.rate_scale
+                for spec in services
+            },
+        )
 
     cells = {
         spec.name: run_dedicated_service(spec, config, seed_offset=index)
         for index, spec in enumerate(services)
     }
     return combine_dedicated(config.architecture, cells)
-
-
-def _finish(
-    server: SimulatedServer,
-    per_service: Dict[str, ServiceResult],
-    config: RunConfig,
-    services: List[ServiceSpec],
-) -> ExperimentResult:
-    return ExperimentResult(
-        architecture=config.architecture,
-        services=per_service,
-        elapsed_ns=server.env.now,
-        hardware_stats=server.hardware.stats(),
-        orchestrator_stats=server.orchestrator.stats(),
-        utilizations=server.hardware.accelerator_utilizations(),
-        offered_rps={
-            spec.name: (config.rate_rps or spec.rate_rps) * config.rate_scale
-            for spec in services
-        },
-    )
 
 
 def run_unloaded(

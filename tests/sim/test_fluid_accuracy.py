@@ -293,11 +293,20 @@ class TestFluidFractionZero:
 class TestFleetScaleSpeedup:
     def test_mostly_fluid_fleet_is_at_least_5x_faster(self):
         """The acceptance bar: >=80% of machines fluid at fleet scale
-        must cut wall-clock time by at least 5x vs pure DES (the
-        measured margin is far larger; 5x keeps CI noise-proof)."""
+        must cut wall-clock time by at least 5x vs pure DES. One of the
+        ten machines stays exact, which caps the speedup near 10x; the
+        arms run interleaved and each keeps its best of three rounds
+        (as ``benchmarks/bench_kernel.py`` times its A/B cases), so a
+        slow stretch of the host hits both arms instead of one."""
         import time
 
         svcs = services("UniqId", "StoreP", "Login")
+        fluid_config = FluidConfig(
+            policy="static",
+            fluid_machines=tuple(range(1, 10)),
+            calibrate_requests=30,
+            batched=True,
+        )
 
         def run(fluid, n=600):
             config = ClusterConfig(
@@ -314,14 +323,13 @@ class TestFleetScaleSpeedup:
             result = run_cluster(svcs, config)
             return result, time.perf_counter() - start
 
-        exact, exact_wall = run(None)
-        fluid_config = FluidConfig(
-            policy="static",
-            fluid_machines=tuple(range(1, 10)),
-            calibrate_requests=30,
-            batched=True,
-        )
-        fluid, fluid_wall = run(fluid_config)
+        exact_walls, fluid_walls = [], []
+        for _ in range(3):
+            exact, wall = run(None)
+            exact_walls.append(wall)
+            fluid, wall = run(fluid_config)
+            fluid_walls.append(wall)
+        exact_wall, fluid_wall = min(exact_walls), min(fluid_walls)
 
         assert fluid.fluid_stats["fluid_fraction"] >= 0.8
         assert fluid.fluid_stats["mean_fluid_fraction"] >= 0.6
